@@ -62,8 +62,7 @@ _EXPERIMENTS = {
 }
 
 # Experiments whose run() is a grid over the parallel scheduler and accepts
-# workers/resume/progress (fig9's own --profile-workers knob is unrelated:
-# it sizes the *profiling* pool, not the experiment grid).
+# workers/resume/progress.
 _GRID_EXPERIMENTS = frozenset({
     "table2", "table5", "table6", "table7", "table8",
     "fig11", "fig12", "fig13", "fig14",
@@ -123,9 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--rows", type=int, default=None,
                          help="override generated row count")
     profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--profile-workers", type=int, default=None,
-                         help="profiling worker-pool size "
-                              "(1 = sequential, 0 = all cores)")
     profile.add_argument("--streaming", action="store_true",
                          help="profile chunk-by-chunk with mergeable "
                               "sketches (constant memory)")
@@ -153,9 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="run catalog refinement first")
     generate.add_argument("--rows", type=int, default=None)
     generate.add_argument("--seed", type=int, default=0)
-    generate.add_argument("--profile-workers", type=int, default=None,
-                          help="profiling worker-pool size "
-                               "(1 = sequential, 0 = all cores)")
     generate.add_argument("--show-code", action="store_true")
     _add_resilience_args(generate)
 
@@ -239,9 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
                       dest="output_format", help="findings output format")
     lint.add_argument("--strict", action="store_true",
                       help="fail on warnings too, not just errors")
-    lint.add_argument("--workers", type=int, default=1,
-                      help="analysis thread-pool size (verdict is "
-                           "worker-count invariant)")
     lint.add_argument("--disable", action="append", default=[],
                       metavar="RULE_ID",
                       help="disable a rule by id (repeatable)")
@@ -300,7 +290,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     with run_session(
         "profile", dataset=args.dataset,
         config={"rows": args.rows, "seed": args.seed,
-                "workers": args.profile_workers,
                 "streaming": bool(args.streaming or csv_source),
                 "chunk_rows": chunk_rows},
         force=traced,
@@ -313,7 +302,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 target=args.target,
                 task_type=args.task_type,
                 chunk_rows=chunk_rows,
-                workers=args.profile_workers,
                 seed=args.seed,
             )
         else:
@@ -323,7 +311,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             bundle = load_dataset(args.dataset, seed=args.seed, **overrides)
             catalog = bundle.profile(
                 seed=args.seed,
-                workers=args.profile_workers,
                 streaming=args.streaming,
                 chunk_rows=args.chunk_rows,
             )
@@ -363,7 +350,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         },
         force=traced,
     ) as session:
-        catalog = bundle.profile(seed=args.seed, workers=args.profile_workers)
+        catalog = bundle.profile(seed=args.seed)
         llm = LLM(args.llm, config={
             "seed": args.seed, "fault_rate": args.fault_rate,
             "max_retries": args.max_retries, "llm_timeout": args.llm_timeout,
@@ -538,9 +525,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 path.write_text(result.code, encoding="utf-8")
                 fixed_files += 1
                 n_fixes += len(result.applied)
-    reports = lint_paths(
-        args.paths, profile=args.profile, config=config, workers=args.workers
-    )
+    reports = lint_paths(args.paths, profile=args.profile, config=config)
     if not reports:
         print("no python files found", file=sys.stderr)
         return 2

@@ -4,8 +4,9 @@ The pool is the process-isolation boundary of the error-management loop:
 LLM-generated code runs in expendable child interpreters, so a hanging,
 memory-hogging, segfaulting, or ``os._exit``-ing pipeline is *reaped and
 classified* instead of taking down the orchestrator (the in-process
-mode's residual risk, and the reason thread-mode timeouts had to abandon
-workers).
+mode's residual risk).  It is also the only enforcer of a wall-clock
+budget off the main thread, where SIGALRM is unavailable:
+``execute_pipeline_code`` routes such budgeted executions here.
 
 Life cycle:
 
@@ -177,7 +178,7 @@ class ExecPool:
                         with self._lock:
                             self._spawned -= 1
                         raise
-                    self.stats["spawns"] += 1
+                    self._count("spawns")
                     get_metrics().inc("execpool.spawns")
                     return worker
                 try:  # all busy: wait for a release, then re-check capacity
@@ -188,22 +189,31 @@ class ExecPool:
                 return worker
             self._retire(worker, reason="died_idle")
 
+    def _count(self, stat: str) -> None:
+        with self._lock:
+            self.stats[stat] += 1
+
     def _retire(self, worker: PoolWorker, reason: str) -> None:
         worker.kill()
         with self._lock:
             self._spawned -= 1
-        self.stats["kills"] += 1
+            self.stats["kills"] += 1
         get_metrics().inc("execpool.kills", reason=reason)
 
     def _release(self, worker: PoolWorker) -> None:
-        if worker.jobs_done >= self.config.max_jobs_per_worker:
-            worker.close()
-            with self._lock:
-                self._spawned -= 1
-            self.stats["recycles"] += 1
+        recycle = worker.jobs_done >= self.config.max_jobs_per_worker
+        with self._lock:
+            if not (recycle or self._closed):
+                # queued under the lock, so a concurrent shutdown() drains it
+                self._idle.put(worker)
+                return
+            self._spawned -= 1
+            if recycle:
+                self.stats["recycles"] += 1
+        # recycled, or borrowed across shutdown(): must not outlive the pool
+        worker.close()
+        if recycle:
             get_metrics().inc("execpool.recycles")
-            return
-        self._idle.put(worker)
 
     # -- execution -------------------------------------------------------------
 
@@ -243,7 +253,7 @@ class ExecPool:
             except FrameTimeout:
                 self._retire(worker, reason="timeout")
                 metrics.inc("execpool.jobs", status="killed_timeout")
-                self.stats["jobs"] += 1
+                self._count("jobs")
                 span.set(status="killed_timeout")
                 return ExecutionResult(
                     success=False,
@@ -262,7 +272,7 @@ class ExecPool:
                     returncode = worker.process.poll()
                 self._retire(worker, reason="crashed")
                 metrics.inc("execpool.jobs", status="crashed")
-                self.stats["jobs"] += 1
+                self._count("jobs")
                 span.set(status="crashed", returncode=returncode)
                 return ExecutionResult(
                     success=False,
@@ -274,7 +284,7 @@ class ExecPool:
                 )
             worker.jobs_done = reply.jobs_done
             self._release(worker)
-            self.stats["jobs"] += 1
+            self._count("jobs")
             result: ExecutionResult = reply.result
             metrics.inc(
                 "execpool.jobs", status="ok" if result.success else "error"
@@ -292,7 +302,8 @@ class ExecPool:
     # -- shutdown ---------------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Close every idle worker; borrowed workers die with their pipes."""
+        """Close every idle worker; a borrowed worker is closed when its
+        execution releases it."""
         with self._lock:
             self._closed = True
         while True:

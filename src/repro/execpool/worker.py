@@ -148,7 +148,6 @@ def serve(job_stream: Any, reply_stream: Any) -> None:
                 job.test,
                 job.filename,
                 timeout_seconds=job.timeout_seconds,
-                timeout_mode="signal",
             )
         finally:
             limits.restore()

@@ -6,11 +6,14 @@ calls ``run_pipeline(train, test)``, and classifies any raised exception
 onto the 23-type taxonomy, recovering the failing line number from the
 traceback for the error-correction prompt.
 
-``timeout_seconds`` enforces a hard wall-clock budget on the script via
-:func:`repro.resilience.deadline.run_with_timeout` (signal-based on a
-POSIX main thread, async-exception thread mode elsewhere); a pipeline
-that loops or sleeps forever is killed at the budget and reported as a
-runtime :class:`~repro.generation.errors.PipelineError`, never a hang.
+``timeout_seconds`` enforces a hard wall-clock budget on the script; a
+pipeline that loops or sleeps forever is killed at the budget and
+reported as a runtime :class:`~repro.generation.errors.PipelineError`,
+never a hang.  On a POSIX main thread SIGALRM enforces it in-process
+(:func:`repro.resilience.deadline.run_with_timeout`); anywhere else — for
+example every experiment-grid cell, which runs on a scheduler thread —
+a budgeted execution goes to the subprocess pool, which SIGKILLs at the
+budget.
 
 ``mode`` selects the trust boundary: ``"inproc"`` (default) runs the
 script in this interpreter, ``"pool"`` ships it to a warm subprocess
@@ -34,7 +37,11 @@ from repro.execpool.config import resolve_exec_mode, resolve_memory_mb
 from repro.generation.errors import ERROR_TYPES, PipelineError, classify_exception
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
-from repro.resilience.deadline import ExecutionTimeout, run_with_timeout
+from repro.resilience.deadline import (
+    ExecutionTimeout,
+    run_with_timeout,
+    signal_timeout_available,
+)
 from repro.table.table import Table
 
 __all__ = ["ExecutionResult", "execute_pipeline_code", "select_primary_metric"]
@@ -103,21 +110,23 @@ def execute_pipeline_code(
     test: Table,
     filename: str = "<pipeline>",
     timeout_seconds: float | None = None,
-    timeout_mode: str = "auto",
     mode: str | None = None,
     memory_mb: int | None = None,
 ) -> ExecutionResult:
     """Compile and run the script; never raises, always classifies.
 
     ``timeout_seconds`` bounds the script's wall-clock runtime (see the
-    module docstring); ``timeout_mode`` selects the in-process
-    enforcement mechanism (``"auto"`` | ``"signal"`` | ``"thread"``).
-    ``mode`` picks the execution backend (``"inproc"`` | ``"pool"``;
-    ``None`` = ``$REPRO_EXEC_MODE`` or in-process) and ``memory_mb`` caps
-    the pool worker's address space for this execution (``None`` =
-    ``$REPRO_EXEC_MEMORY_MB`` or unlimited; ignored in-process).
+    module docstring).  ``mode`` picks the execution backend
+    (``"inproc"`` | ``"pool"``; ``None`` = ``$REPRO_EXEC_MODE`` or
+    in-process) and ``memory_mb`` caps the pool worker's address space
+    for this execution (``None`` = ``$REPRO_EXEC_MEMORY_MB`` or
+    unlimited; ignored in-process).
     """
     resolved_mode = resolve_exec_mode(mode)
+    if (resolved_mode == "inproc" and timeout_seconds is not None
+            and timeout_seconds > 0 and not signal_timeout_available()):
+        # no SIGALRM here: only the pool can stop the script at its budget
+        resolved_mode = "pool"
     with get_tracer().span(
         "execute.pipeline", rows=train.n_rows, cols=train.n_cols,
         mode=resolved_mode,
@@ -132,8 +141,7 @@ def execute_pipeline_code(
             )
         else:
             result = _execute_pipeline_code_impl(
-                code, train, test, filename,
-                timeout_seconds=timeout_seconds, timeout_mode=timeout_mode,
+                code, train, test, filename, timeout_seconds=timeout_seconds,
             )
         span.set(success=result.success)
         metrics = get_metrics()
@@ -154,7 +162,6 @@ def _execute_pipeline_code_impl(
     test: Table,
     filename: str = "<pipeline>",
     timeout_seconds: float | None = None,
-    timeout_mode: str = "auto",
 ) -> ExecutionResult:
     start = time.perf_counter()
     namespace: dict[str, Any] = {"__name__": "__catdb_pipeline__"}
@@ -179,7 +186,7 @@ def _execute_pipeline_code_impl(
         return result
 
     try:
-        metrics = run_with_timeout(_run, timeout_seconds, mode=timeout_mode)
+        metrics = run_with_timeout(_run, timeout_seconds)
     except BaseException as exc:  # noqa: BLE001 - everything must be classified
         elapsed = time.perf_counter() - start
         error = classify_exception(exc, line=_failing_line(exc, filename))

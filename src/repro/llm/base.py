@@ -187,7 +187,6 @@ class ResilientLLM(LLMClient):
                 response = run_with_timeout(
                     lambda: self.inner.complete(messages),
                     self.timeout_seconds,
-                    mode="signal",
                 )
             except ExecutionTimeout as exc:
                 raise DeadlineExceeded(

@@ -14,7 +14,6 @@ profile → prompt → generate → repair → execute path is effectively free
 unless ``--trace`` / ``REPRO_TRACE=1`` / :func:`enable_tracing` is used.
 """
 
-from repro.obs.fence import FencedMetrics, FencedTracer, ObsFence
 from repro.obs.ledger import (
     RunLedger,
     RunRecord,
@@ -79,7 +78,4 @@ __all__ = [
     "tracing_enabled",
     "active_session",
     "configured_ledger_path",
-    "ObsFence",
-    "FencedTracer",
-    "FencedMetrics",
 ]

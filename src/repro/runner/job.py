@@ -7,9 +7,9 @@ every ``run_catdb`` / ``run_llm_baseline`` / ``run_automl`` cell is a
 fan-out *cell* node depending on them.  The scheduler
 (:mod:`repro.runner.scheduler`) executes the DAG on a worker pool.
 
-Determinism is by construction, the same discipline as the profiling
-substrate's :class:`~repro.catalog.executor.ProfilerExecutor`: a job's
-work may depend only on its declared inputs — its dependency results,
+Determinism is by construction, the same discipline as the profiler's
+per-column RNGs (:func:`~repro.catalog.profiler.spawn_column_rngs`): a
+job's work may depend only on its declared inputs — its dependency results,
 its closed-over config, and its own seeded RNG (:func:`job_rng`, spawned
 from a :class:`numpy.random.SeedSequence` keyed by the job's id and
 seed, never by scheduling order) — so ``workers=1`` and ``workers=N``

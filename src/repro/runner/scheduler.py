@@ -4,9 +4,10 @@ The scheduler walks the DAG with a ready queue: a job becomes eligible
 when every dependency succeeded, and eligible jobs are submitted to a
 thread pool in insertion order (FIFO), so ``workers=1`` replays the
 legacy sequential drivers exactly.  Threads are the right pool for this
-workload — the hot work inside a cell (numpy, hashlib, the simulated
-LLM) releases the GIL, and cells share prepared datasets without
-serialization; ``processes=True`` call sites can still fan whole grids
+workload — cells spend their time waiting on execpool subprocesses
+(pool mode, and every execution with a wall-clock budget, since a
+scheduler thread has no SIGALRM) or in GIL-releasing numpy, and they
+share prepared datasets without serialization; ``processes=True`` call sites can still fan whole grids
 out externally because every cell is self-describing (config + seed).
 
 Concurrency safety rests on the three substrate fixes shipped with this
@@ -51,8 +52,7 @@ def resolve_experiment_workers(workers: int | None) -> int:
     """Normalize the scheduler's ``workers`` knob (>= 1).
 
     ``None`` consults ``REPRO_EXPERIMENT_WORKERS`` and falls back to 1
-    (sequential); ``0`` or negative means "use all cores" — the same
-    contract as the profiling substrate's ``REPRO_PROFILE_WORKERS``.
+    (sequential); ``0`` or negative means "use all cores".
     """
     if workers is None:
         env = os.environ.get(_WORKERS_ENV, "").strip()

@@ -15,7 +15,9 @@ Covers the three contracts ``docs/execution_pool.md`` documents:
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -247,24 +249,60 @@ class TestLifecycle:
             assert pool.stats["kills"] == 1
             assert pool.stats["spawns"] == 2
 
-    def test_concurrent_borrowers(self, pool, tables):
+    def test_concurrent_borrowers(self, tables):
         train, test = tables
-        results: list = [None] * 4
+        results: list = [None] * 8
 
         def work(i: int) -> None:
             results[i] = pool.execute(
                 CLEAN_PIPELINE, train, test, timeout_seconds=TIMEOUT
             )
 
-        threads = [
-            threading.Thread(target=work, args=(i,)) for i in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(60.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # provoke lost read-modify-writes
+        try:
+            with ExecPool(PoolConfig(size=2)) as pool:
+                threads = [
+                    threading.Thread(target=work, args=(i,)) for i in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        # every borrower's bookkeeping lands: no lost increments
+        assert pool.stats["jobs"] == 8
+        assert pool.stats["spawns"] == 2
         assert all(r is not None and r.success for r in results)
         assert len({tuple(sorted(r.metrics.items())) for r in results}) == 1
+
+    def test_worker_borrowed_across_shutdown_is_closed(self, tables):
+        train, test = tables
+        slow = ("import time\n"
+                "\n"
+                "def run_pipeline(train, test):\n"
+                "    time.sleep(1.0)\n"
+                "    return {}\n")
+        pool = ExecPool(PoolConfig(size=1))
+        assert pool.execute(CLEAN_PIPELINE, train, test).success
+        (worker,) = list(pool._idle.queue)
+        results: list = []
+        borrower = threading.Thread(
+            target=lambda: results.append(
+                pool.execute(slow, train, test, timeout_seconds=TIMEOUT)
+            )
+        )
+        borrower.start()
+        deadline = time.monotonic() + 10.0
+        while pool._idle.qsize() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        pool.shutdown()  # the job is still running on the borrowed worker
+        borrower.join(30.0)
+        assert not borrower.is_alive()
+        assert results and results[0].success
+        assert not worker.alive
 
 
 # ---------------------------------------------------------------------------

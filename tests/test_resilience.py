@@ -2,12 +2,15 @@
 budgets, circuit breaker, transient-fault injection, the ResilientLLM
 transport stack, executor timeouts, and graceful generator degradation."""
 
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.catalog.profiler import profile_table
+from repro.execpool.config import MODE_ENV
+from repro.execpool.pool import get_pool, shutdown_pool
 from repro.generation.executor import execute_pipeline_code
 from repro.generation.generator import CatDB, CatDBChain
 from repro.llm import build_client
@@ -21,6 +24,7 @@ from repro.llm.faults import (
 from repro.llm.mock import MockLLM
 from repro.ml.model_selection import train_test_split
 from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.obs.trace import Tracer, set_tracer
 from repro.resilience import (
     BreakerOpen,
     CircuitBreaker,
@@ -254,120 +258,46 @@ class TestRunWithTimeout:
         assert run_with_timeout(lambda: "x", None) == "x"
         assert run_with_timeout(lambda: "x", 0) == "x"
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            run_with_timeout(lambda: 1, 1.0, mode="fork")
-
     def test_within_budget_returns_result(self):
-        assert run_with_timeout(lambda: 7, 5.0, mode="thread") == 7
+        assert run_with_timeout(lambda: 7, 5.0) == 7
 
     def test_fn_exception_propagates(self):
         def boom():
             raise KeyError("inner")
 
         with pytest.raises(KeyError):
-            run_with_timeout(boom, 5.0, mode="thread")
-
-    def test_thread_mode_kills_busy_loop_within_grace(self):
-        def spin():
-            while True:
-                pass
-
-        start = time.monotonic()
-        with pytest.raises(ExecutionTimeout):
-            run_with_timeout(spin, 0.3, mode="thread", grace_seconds=1.0)
-        # the acceptance bound: budget + 1s grace (+ scheduling slack)
-        assert time.monotonic() - start < 0.3 + 1.0 + 0.5
-
-    def test_thread_mode_abandons_c_blocked_worker(self):
-        start = time.monotonic()
-        with pytest.raises(ExecutionTimeout) as info:
-            run_with_timeout(lambda: time.sleep(30), 0.2, mode="thread",
-                             grace_seconds=0.3)
-        assert time.monotonic() - start < 0.2 + 0.3 + 0.5
-        assert "abandoned" in str(info.value)
+            run_with_timeout(boom, 5.0)
 
     @pytest.mark.skipif(not signal_timeout_available(),
                         reason="needs SIGALRM on the main thread")
     def test_signal_mode_interrupts_sleep(self):
         start = time.monotonic()
         with pytest.raises(ExecutionTimeout):
-            run_with_timeout(lambda: time.sleep(30), 0.2, mode="signal")
+            run_with_timeout(lambda: time.sleep(30), 0.2)
         assert time.monotonic() - start < 1.0
+
+    def test_budget_off_main_thread_is_refused(self):
+        # no SIGALRM off the main thread: a budget there must not be
+        # silently dropped (budgeted pipelines go to the execpool instead)
+        outcome = {}
+
+        def call():
+            try:
+                run_with_timeout(lambda: 1, 1.0)
+            except RuntimeError as exc:
+                outcome["error"] = exc
+
+        worker = threading.Thread(target=call)
+        worker.start()
+        worker.join(10.0)
+        assert not worker.is_alive()
+        assert isinstance(outcome.get("error"), RuntimeError)
+        assert not isinstance(outcome["error"], ExecutionTimeout)
+        assert run_with_timeout(lambda: 1, None) == 1
 
     def test_timeout_is_runtime_error(self):
         # the taxonomy must classify budget exhaustion as an RE-group error
         assert issubclass(ExecutionTimeout, RuntimeError)
-
-    def test_thread_mode_worker_emits_into_caller_session(self):
-        # emission parity with signal mode: the worker thread inherits the
-        # caller's metrics registry and tracer through the ObsFence
-        from repro.obs.trace import Tracer, set_tracer
-
-        registry = MetricsRegistry()
-        tracer = Tracer()
-        prev_metrics = set_metrics(registry)
-        prev_tracer = set_tracer(tracer)
-        try:
-            def work():
-                from repro.obs.metrics import get_metrics
-                from repro.obs.trace import get_tracer
-
-                with get_tracer().span("worker.step"):
-                    get_metrics().inc("worker.live")
-                return "done"
-
-            assert run_with_timeout(work, 5.0, mode="thread") == "done"
-        finally:
-            set_metrics(prev_metrics)
-            set_tracer(prev_tracer)
-        assert registry.counter_value("worker.live") == 1
-        assert [s.name for s in tracer.spans] == ["worker.step"]
-
-    def test_abandoned_worker_obs_emissions_are_fenced(self):
-        # regression: a worker that survives async-exception injection
-        # (stuck in a C call, swallowing BaseException) is abandoned after
-        # grace -- anything the zombie emits afterwards must NOT land in
-        # the session of whatever run is active by then
-        import threading
-
-        from repro.obs.trace import Tracer, set_tracer
-
-        registry = MetricsRegistry()
-        tracer = Tracer()
-        release = threading.Event()
-        emitted = threading.Event()
-
-        def zombie():
-            from repro.obs.metrics import get_metrics
-            from repro.obs.trace import get_tracer
-
-            # simulate "stuck in C": swallow every injected timeout
-            while not release.is_set():
-                try:
-                    time.sleep(0.01)
-                except ExecutionTimeout:
-                    pass
-            # the late emission, after the caller gave up on us
-            get_metrics().inc("zombie.late")
-            with get_tracer().span("zombie.late"):
-                pass
-            emitted.set()
-
-        prev_metrics = set_metrics(registry)
-        prev_tracer = set_tracer(tracer)
-        try:
-            with pytest.raises(ExecutionTimeout) as info:
-                run_with_timeout(zombie, 0.2, mode="thread",
-                                 grace_seconds=0.2)
-        finally:
-            set_metrics(prev_metrics)
-            set_tracer(prev_tracer)
-        assert "abandoned" in str(info.value)
-        release.set()
-        assert emitted.wait(5.0), "zombie never reached its late emission"
-        assert registry.counter_value("zombie.late") == 0
-        assert all(s.name != "zombie.late" for s in tracer.spans)
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +616,30 @@ def _toy_tables():
     return t, t
 
 
+_HANGING_PIPELINES = {
+    "busy_loop": ("def run_pipeline(train, test):\n"
+                  "    n = 0\n"
+                  "    while True:\n"
+                  "        n += 1\n"),
+    "sleep": ("import time\n"
+              "\n"
+              "def run_pipeline(train, test):\n"
+              "    time.sleep(30)\n"),
+}
+
+
+@pytest.fixture()
+def warm_shared_pool():
+    """The shared execpool with one worker already spawned, so timing
+    checks measure the budget rather than interpreter start-up."""
+    train, test = _toy_tables()
+    pool = get_pool()
+    assert pool.execute("def run_pipeline(train, test):\n    return {}\n",
+                        train, test).success
+    yield pool
+    shutdown_pool()
+
+
 class TestExecutorTimeout:
     def test_infinite_loop_is_killed_and_classified(self):
         code = ("def run_pipeline(train, test):\n"
@@ -703,18 +657,45 @@ class TestExecutorTimeout:
         assert result.error.details.get("timed_out") is True
         assert result.error.details.get("timeout_seconds") == 0.5
 
-    def test_thread_mode_also_terminates(self):
-        code = ("def run_pipeline(train, test):\n"
-                "    n = 0\n"
-                "    while True:\n"
-                "        n += 1\n")
+    @pytest.mark.skipif(not signal_timeout_available(),
+                        reason="compares against the main-thread signal path")
+    @pytest.mark.parametrize("body", sorted(_HANGING_PIPELINES))
+    def test_off_main_thread_budget_enforced_by_pool(
+        self, body, warm_shared_pool, monkeypatch
+    ):
+        # a scheduler cell runs on a pool thread, where SIGALRM cannot
+        # fire: the budget must still hold, via the execpool's kill, and
+        # no thread may be left behind running the pipeline
+        monkeypatch.delenv(MODE_ENV, raising=False)
+        code = _HANGING_PIPELINES[body]
         train, test = _toy_tables()
-        start = time.monotonic()
-        result = execute_pipeline_code(code, train, test, timeout_seconds=0.4,
-                                       timeout_mode="thread")
-        assert time.monotonic() - start < 0.4 + 1.0 + 0.5
+        on_main = execute_pipeline_code(code, train, test, timeout_seconds=0.3)
+        threads_before = threading.active_count()
+        outcome = {}
+
+        def run():
+            tracer = Tracer()
+            set_tracer(tracer)
+            start = time.monotonic()
+            outcome["result"] = execute_pipeline_code(
+                code, train, test, timeout_seconds=0.3
+            )
+            outcome["elapsed"] = time.monotonic() - start
+            outcome["spans"] = tracer.spans
+
+        caller = threading.Thread(target=run)
+        caller.start()
+        caller.join(30.0)
+        assert not caller.is_alive()
+        grace = warm_shared_pool.config.kill_grace_seconds
+        assert outcome["elapsed"] < 0.3 + grace + 1.0
+        result = outcome["result"]
         assert not result.success
         assert result.error.details.get("timed_out") is True
+        assert result.error.error_type.name == on_main.error.error_type.name
+        (span,) = [s for s in outcome["spans"] if s.name == "execute.pipeline"]
+        assert span.attributes["mode"] == "pool"
+        assert threading.active_count() == threads_before
 
     def test_fast_pipeline_unaffected_by_budget(self):
         code = ("def run_pipeline(train, test):\n"

@@ -160,7 +160,7 @@ class TestScheduler:
         assert "bad" in results["on_bad"].error
         assert results["on_good"].status == "ok"
 
-    def test_resolve_workers(self, monkeypatch):
+    def test_resolve_experiment_workers(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXPERIMENT_WORKERS", raising=False)
         assert resolve_experiment_workers(None) == 1
         assert resolve_experiment_workers(3) == 3

@@ -9,6 +9,7 @@ and the execution-skip audit (statically-dirty code never reaches
 """
 
 import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -710,18 +711,16 @@ class TestRepoProfile:
         errors = [f for r in reports for f in r.errors()]
         assert errors == [], [f.render() for f in errors]
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_lint_verdict_worker_invariant(self, workers):
-        baseline = lint_paths(["src/repro/resilience"], profile="repo", workers=1)
-        parallel = lint_paths(
-            ["src/repro/resilience"], profile="repo", workers=workers
-        )
-        assert [r.path for r in parallel] == [r.path for r in baseline]
-        assert [
-            f.to_dict() for r in parallel for f in r.findings
-        ] == [
-            f.to_dict() for r in baseline for f in r.findings
-        ]
+    def test_lint_reports_in_path_order(self):
+        reports = lint_paths(["src/repro/resilience"], profile="repo")
+        paths = [Path(r.path) for r in reports]
+        assert paths and paths == sorted(paths)
+
+    def test_lint_workers_flag_rejected(self):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["lint", "src", "--workers", "2"])
 
 
 class TestLintCli:
