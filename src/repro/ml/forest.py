@@ -63,18 +63,15 @@ class RandomForestClassifier(_BaseForest, ClassifierMixin):
     def fit(self, X: Any, y: Any) -> "RandomForestClassifier":
         X, y = check_X_y(X, y)
         self.classes_ = sorted(set(y.tolist()), key=str)
+        index = {label: i for i, label in enumerate(self.classes_)}
+        codes = np.asarray([index[v] for v in y], dtype=np.int64)
         rng = np.random.default_rng(self.random_state)
         self.estimators_ = []
         for t in range(self.n_estimators):
             tree = DecisionTreeClassifier(**self._tree_params(self.random_state + t))
             tree.classes_ = self.classes_  # fixed label order across trees
-            index = {label: i for i, label in enumerate(self.classes_)}
-            codes = np.asarray([index[v] for v in y], dtype=np.int64)
             idx = self._sample(X.shape[0], rng)
-            tree.n_features_ = X.shape[1]
-            tree.root_ = tree._build(
-                X[idx], codes[idx], depth=0, rng=np.random.default_rng(self.random_state + t)
-            )
+            tree._grow(X, codes, np.random.default_rng(self.random_state + t), idx)
             self.estimators_.append(tree)
         return self
 
@@ -103,10 +100,7 @@ class RandomForestRegressor(_BaseForest, RegressorMixin):
         for t in range(self.n_estimators):
             tree = DecisionTreeRegressor(**self._tree_params(self.random_state + t))
             idx = self._sample(X.shape[0], rng)
-            tree.n_features_ = X.shape[1]
-            tree.root_ = tree._build(
-                X[idx], y[idx], depth=0, rng=np.random.default_rng(self.random_state + t)
-            )
+            tree._grow(X, y, np.random.default_rng(self.random_state + t), idx)
             self.estimators_.append(tree)
         return self
 

@@ -188,6 +188,52 @@ class TestEnsembles:
         assert model.decision_function(X_te).shape == (X_te.shape[0], 3)
 
 
+TREE_FAMILY = [
+    lambda: DecisionTreeClassifier(max_depth=3),
+    lambda: DecisionTreeRegressor(max_depth=3),
+    lambda: RandomForestClassifier(n_estimators=3, max_depth=3),
+    lambda: RandomForestRegressor(n_estimators=3, max_depth=3),
+    lambda: GradientBoostingClassifier(n_estimators=3),
+    lambda: GradientBoostingRegressor(n_estimators=3),
+]
+
+
+def _fit_on_four_features(model):
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(60, 4))
+    if model._estimator_type == "classifier":
+        return model.fit(X, np.where(X[:, 0] > 0, "a", "b").astype(object))
+    return model.fit(X, X[:, 0] - X[:, 1])
+
+
+class TestTreeInputChecks:
+    @pytest.mark.parametrize("max_features", [1.5, 2.0, 0.0, -0.5, "auto", "all", 0, -3])
+    @pytest.mark.parametrize("cls", [DecisionTreeClassifier, RandomForestClassifier])
+    def test_invalid_max_features_rejected_at_fit(self, cls, max_features):
+        model = cls(max_features=max_features)
+        with pytest.raises(ValueError, match="max_features must be None, 'sqrt', 'log2'"):
+            _fit_on_four_features(model)
+
+    @pytest.mark.parametrize("factory", TREE_FAMILY)
+    def test_zero_rows_predict(self, factory):
+        model = _fit_on_four_features(factory())
+        empty = np.empty((0, 4))
+        assert model.predict(empty).shape == (0,)
+        if hasattr(model, "predict_proba"):
+            assert model.predict_proba(empty).shape == (0, 2)
+
+    @pytest.mark.parametrize("factory", TREE_FAMILY)
+    def test_feature_width_mismatch_rejected(self, factory):
+        model = _fit_on_four_features(factory())
+        methods = [model.predict]
+        if hasattr(model, "predict_proba"):
+            methods.append(model.predict_proba)
+        for method in methods:
+            for width in (3, 5):
+                with pytest.raises(ValueError, match=f"X has {width} features.*with 4 features"):
+                    method(np.zeros((2, width)))
+
+
 class TestTabPFNProxy:
     def test_small_data_works(self, clf_data):
         X_tr, y_tr, X_te, y_te = clf_data
