@@ -24,7 +24,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.table.column import Column, ColumnKind
+from repro.table.column import Column, ColumnKind, factorize
 
 __all__ = [
     "ProfileCache",
@@ -61,15 +61,13 @@ def column_fingerprint(column: Column) -> tuple:
     mask_digest = hashlib.md5()
     if column.kind is ColumnKind.NUMERIC:
         data_digest.update(column.data.tobytes())
-    elif column.codes is not None:
+    else:
         # encode once per distinct pool value, gather bytes by code
         pool_bytes = [_encode_one(value) for value in column.pool.tolist()]
         ext = np.empty(len(pool_bytes) + 1, dtype=object)
         ext[:-1] = pool_bytes
         ext[-1] = b"\xff\x00none"  # code -1 wraps here (missing cells)
         data_digest.update(b"".join(ext[column.codes].tolist()))
-    else:
-        data_digest.update(encode_object_values(column.data.tolist()))
     mask_digest.update(column.missing.tobytes())
     content: Any = hashlib.md5(
         data_digest.digest() + mask_digest.digest()
@@ -88,34 +86,13 @@ def encode_object_values(values: list) -> bytes:
     """Length-prefixed byte encoding of object-column cells.
 
     Shared by the batch fingerprint above and the streaming per-chunk
-    byte producer, so both paths hash exactly the same octets.  Repeated
-    values are encoded once (factorize-then-gather); hash-equal values of
-    different types (``1`` vs ``1.0`` vs ``True``) encode per cell so the
-    byte stream stays identical to the per-cell definition.
+    byte producer, so both paths hash exactly the same octets.  Each
+    :func:`~repro.table.column.factorize` slot is encoded once and the
+    bytes are gathered by code, which is the per-cell encoding exactly.
     """
-    try:
-        distinct = list(dict.fromkeys(values))
-    except TypeError:
-        distinct = None
-    if distinct is None or len(distinct) >= len(values):
-        parts: list[bytes] = []
-        for value in values:
-            parts.append(_encode_one(value))
-        return b"".join(parts)
-    crossable = set()
-    for t in set(map(type, distinct)):
-        if t is type(None) or issubclass(t, str):
-            continue  # str/None never compare equal across types
-        if issubclass(t, (int, float, np.integer, np.floating, np.bool_)):
-            crossable.add(t)
-        else:
-            # unknown type: no cross-type equality guarantees, encode per cell
-            return b"".join(_encode_one(value) for value in values)
-    if len(crossable) > 1:
-        # e.g. 1 vs 1.0 share a dict slot but str() differently
-        return b"".join(_encode_one(value) for value in values)
-    encodings = {value: _encode_one(value) for value in distinct}
-    return b"".join(map(encodings.__getitem__, values))
+    distinct, codes = factorize(values)
+    encodings = [_encode_one(value) for value in distinct]
+    return b"".join(map(encodings.__getitem__, codes.tolist()))
 
 
 class ProfileCache:

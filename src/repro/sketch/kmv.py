@@ -21,7 +21,6 @@ import numpy as np
 from repro.sketch.base import (
     SketchConfig,
     encode_distinct,
-    encode_value,
     hash64_many,
 )
 
@@ -69,11 +68,7 @@ class KMVSketch:
         values = list(values)
         if not values:
             return
-        factorized = encode_distinct(values)
-        if factorized is None:
-            self._update_per_cell(values, rows)
-            return
-        encodings, codes = factorized
+        encodings, codes = encode_distinct(values)
         if self._exact is None:
             # hash once per distinct encoding — the set union is the same
             self._hashes.update(hash64_many(self.key, encodings).tolist())
@@ -98,28 +93,6 @@ class KMVSketch:
                 exact[encoded] = (row, values[cell])
         if len(exact) > self.exact_threshold:
             self._degrade()
-
-    def _update_per_cell(
-        self, values: list[Any], rows: Iterable[int] | None
-    ) -> None:
-        """Seed path for values without a stable per-distinct key."""
-        if rows is None:
-            rows = range(1 << 62)  # exact first-seen order is then meaningless
-        if self._exact is not None:
-            exact = self._exact
-            for value, row in zip(values, rows):  # repro: allow-per-row
-                encoded = encode_value(value)
-                seen = exact.get(encoded)
-                if seen is None:
-                    exact[encoded] = (row, value)
-                elif row < seen[0]:
-                    exact[encoded] = (row, value)
-            if len(exact) > self.exact_threshold:
-                self._degrade()
-            return
-        encodings = [encode_value(value) for value in values]
-        self._hashes.update(hash64_many(self.key, encodings).tolist())
-        self._prune(soft=True)
 
     def _degrade(self) -> None:
         """Exact -> sketch: hash every stored encoding, drop the values."""

@@ -52,22 +52,84 @@ def _is_missing_scalar(value: Any) -> bool:
 
 # -- dictionary-encoding helpers -----------------------------------------------
 
-# Types whose __eq__/__hash__ never cross type boundaries in a way that
-# changes coercion: two pool-equal values of these types always coerce to
-# the same cell (bool is the exception, handled separately below).
-_POOL_SAFE_TYPES = (
-    str,
-    bool,
-    int,
-    float,
-    np.bool_,
-    np.integer,
-    np.floating,
-    type(None),
+# Exact types whose ``(type, value)`` key fixes every per-distinct result:
+# two equal cells of one such type parse, format, hash and encode alike
+# (signed zeros aside, which ``factorize`` splits).  Cells of any other
+# type -- unhashable, ``Decimal`` (``Decimal("1") == Decimal("1.0")`` but
+# they print differently), subclasses -- are not keyed.
+_KEYABLE = frozenset(
+    {str, bool, int, float, type(None), np.bool_}
+    | {np.dtype(c).type for c in np.typecodes["AllInteger"] + np.typecodes["Float"]}
 )
+_FLOATS = frozenset(t for t in _KEYABLE if issubclass(t, (float, np.floating)))
+_NUMBERS = _KEYABLE - {str, type(None), bool, np.bool_}  # float64-storable as is
 
 _IS_NONE = np.frompyfunc(lambda value: value is None, 1, 1)
 _IS_BOOL = np.frompyfunc(lambda value: isinstance(value, bool), 1, 1)
+
+
+def factorize(values: list) -> tuple[list, np.ndarray]:
+    """First-seen distinct cells plus an ``int64`` code per cell.
+
+    Cells are keyed by ``(type, value)`` with ``0.0`` and ``-0.0`` apart,
+    so ``True``, ``1`` and ``1.0`` never share a code, and a cell of a
+    type outside ``_KEYABLE`` gets a code of its own.  Any per-distinct
+    result that is a pure function of the cell, gathered by code, is
+    therefore exactly the per-cell result.
+
+    ``dict.fromkeys`` over the raw cells does the keying at C speed when
+    at most one non-string type besides ``None`` occurs (hash-equal
+    values then share a type); otherwise the keys carry the type.
+    """
+    return _factorize(values, set(map(type, values)))
+
+
+def _factorize(values: list, types: set) -> tuple[list, np.ndarray]:
+    """:func:`factorize` given the set of the cells' types."""
+    odd = types - _KEYABLE
+    if odd:
+        keys = [
+            (t, i) if t in odd else (t, v)
+            for i, (t, v) in enumerate(zip(map(type, values), values))
+        ]
+    elif len(types - {str, type(None)}) > 1:
+        keys = list(zip(map(type, values), values))
+    else:
+        keys = values
+    index, codes = _first_seen_index(keys)
+    if keys is values:
+        distinct = list(index)
+    else:  # an odd cell's key holds its row, not its value
+        distinct = [values[v] if t in odd else v for t, v in index]
+    for t in types & _FLOATS:
+        zero = index.get(0.0 if keys is values else (t, 0.0))
+        if zero is not None:
+            _split_signed_zero(values, codes, zero, distinct)
+    if len(distinct) > len(index):  # a zero slot was split: restore first-seen order
+        _, first = np.unique(codes, return_index=True)
+        order = np.argsort(first)
+        codes = np.argsort(order)[codes]
+        distinct = [distinct[i] for i in order.tolist()]
+    return distinct, codes
+
+
+def _first_seen_index(keys: list) -> tuple[dict, np.ndarray]:
+    """``{key: code}`` over hash-equal keys in first-seen order, plus the
+    code of every key (``TypeError`` on an unhashable key)."""
+    index = dict.fromkeys(keys)
+    index = dict(zip(index, range(len(index))))
+    return index, np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
+
+
+def _split_signed_zero(values: list, codes: np.ndarray, zero: int, distinct: list) -> None:
+    """Move the cells of slot ``zero`` whose sign differs from its first
+    cell to a new slot appended to ``distinct``."""
+    rows = np.flatnonzero(codes == zero)
+    signs = np.signbit(np.array([values[i] for i in rows.tolist()], dtype=np.float64))
+    flip = rows[signs != signs[0]]
+    if flip.size:
+        codes[flip] = len(distinct)
+        distinct.append(values[flip[0]])
 
 
 def _object_array(values: Sequence[Any]) -> np.ndarray:
@@ -78,45 +140,6 @@ def _object_array(values: Sequence[Any]) -> np.ndarray:
         for i, value in enumerate(values):
             out[i] = value
     return out
-
-
-def _all_numeric_types(types: set) -> bool:
-    return bool(types) and all(
-        t is not bool
-        and t is not np.bool_
-        and (t in (int, float) or issubclass(t, (np.integer, np.floating)))
-        for t in types
-    )
-
-
-def _factorize_raw(values: list, types: set) -> tuple[list, np.ndarray] | None:
-    """First-seen distinct pool + per-row pool index, or ``None``.
-
-    Returns ``None`` when the values cannot safely share one hash table:
-    unhashable cells, exotic types with cross-type equality, or bools
-    mixed with numbers (``hash(True) == hash(1)`` would merge cells whose
-    string coercions differ).  Callers fall back to per-cell coercion.
-    """
-    boolish = 0
-    numeric = 0
-    for t in types:
-        if not issubclass(t, _POOL_SAFE_TYPES):
-            return None
-        if t is bool or t is np.bool_:
-            boolish += 1
-        elif not issubclass(t, (str, type(None))):
-            numeric += 1
-    if boolish and (boolish > 1 or numeric):
-        return None
-    try:
-        pool = list(dict.fromkeys(values))
-    except TypeError:
-        return None
-    index = {value: code for code, value in enumerate(pool)}
-    codes = np.fromiter(
-        map(index.__getitem__, values), dtype=np.int64, count=len(values)
-    )
-    return pool, codes
 
 
 def _coerce_pool(
@@ -166,68 +189,6 @@ def _coerce_pool(
     return _object_array(out_pool), new_codes
 
 
-def _encode_coerced(
-    values: list, missing: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dictionary-encode already-coerced values under a missing mask.
-
-    Used by :meth:`Column.from_numpy`, which (like the seed) stores the
-    given values verbatim.  Hash-colliding values of different types
-    (``True`` vs ``1``) keep distinct codes so fingerprints still hash
-    the original cell values; ``unique()`` re-applies the seed's
-    hash-collapse at query time.
-    """
-    present = [v for v, m in zip(values, missing) if not m]
-    types = set(map(type, present))
-    safe = all(issubclass(t, _POOL_SAFE_TYPES) for t in types)
-    if safe:
-        boolish = (bool in types) + (np.bool_ in types)
-        numeric = sum(
-            1
-            for t in types
-            if t not in (bool, np.bool_)
-            and not issubclass(t, (str, type(None)))
-        )
-        safe = not (boolish and (boolish > 1 or numeric))
-    index: dict[Any, int] = {}
-    pool: list[Any] = []
-    codes = np.empty(len(values), dtype=np.int32)
-    try:
-        if safe:
-            for i, (value, m) in enumerate(zip(values, missing)):
-                if m:
-                    codes[i] = -1
-                    continue
-                code = index.get(value)
-                if code is None:
-                    code = len(pool)
-                    index[value] = code
-                    pool.append(value)
-                codes[i] = code
-        else:
-            # key by (type, value) so hash-equal cross-type cells stay apart
-            for i, (value, m) in enumerate(zip(values, missing)):
-                if m:
-                    codes[i] = -1
-                    continue
-                key = (value.__class__, value)
-                code = index.get(key)
-                if code is None:
-                    code = len(pool)
-                    index[key] = code
-                    pool.append(value)
-                codes[i] = code
-    except TypeError:  # unhashable cells: no dedup, one code per cell
-        pool = []
-        for i, (value, m) in enumerate(zip(values, missing)):
-            if m:
-                codes[i] = -1
-            else:
-                codes[i] = len(pool)
-                pool.append(value)
-    return _object_array(pool), codes
-
-
 class Column:
     """A named, typed vector of values with a missing mask.
 
@@ -258,10 +219,7 @@ class Column:
         if kind is not None:
             kind = ColumnKind(kind)
         types = set(map(type, raw))
-        if (
-            kind in (None, ColumnKind.NUMERIC)
-            and _all_numeric_types(types)
-        ):
+        if kind in (None, ColumnKind.NUMERIC) and types and types <= _NUMBERS:
             data = np.asarray(raw, dtype=np.float64)
             missing = np.isnan(data)
             if kind is not None or not bool(missing.all()):
@@ -272,23 +230,7 @@ class Column:
                 self._codes = None
                 self._pool = None
                 return
-        factorized = _factorize_raw(raw, types)
-        if factorized is None:
-            self.kind = kind if kind is not None else _infer_kind(raw)
-            data, missing = _coerce(raw, self.kind)
-            if self.kind is ColumnKind.NUMERIC:
-                self._data = data
-                self.missing = missing
-                self._codes = None
-                self._pool = None
-            else:
-                pool, codes = _encode_coerced(data.tolist(), missing)
-                self._pool = pool
-                self._codes = codes
-                self.missing = missing
-                self._data = None
-            return
-        pool, codes = factorized
+        pool, codes = _factorize(raw, types)
         self.kind = kind if kind is not None else _infer_kind(pool)
         a, b = _coerce_pool(pool, codes, self.kind)
         if self.kind is ColumnKind.NUMERIC:
@@ -360,7 +302,11 @@ class Column:
             codes[missing] = -1
             col._codes = codes
         else:
-            col._pool, col._codes = _encode_coerced(data.tolist(), missing)
+            # verbatim: factorize keeps 1, 1.0 and True (and signed zeros) apart
+            pool, present_codes = factorize(data[~missing].tolist())
+            col._pool = _object_array(pool)
+            col._codes = np.full(data.shape[0], -1, dtype=np.int32)
+            col._codes[~missing] = present_codes
         col.missing = missing
         col._data = None
         return col
@@ -661,6 +607,31 @@ class Column:
         return self._data
 
 
+def equality_ids(col: Column) -> tuple[np.ndarray, list[Any]]:
+    """Per-row ``int64`` ids under ``==`` plus each id's key, for the
+    relational ops (join, group-by, dedup).
+
+    Missing rows get ``-1``.  Present rows share an id exactly when their
+    cells are hash-equal, and ``keys[i]`` is the cell at the first row
+    with id ``i`` -- what a dict built row by row would keep.  An
+    unhashable cell raises ``TypeError``, as such a dict would.
+    """
+    if col.kind is ColumnKind.NUMERIC:
+        present = ~col.missing
+        values = col.numeric_values()[present]
+        _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+        ids = np.full(len(col), -1, dtype=np.int64)
+        ids[present] = inverse
+        return ids, values[first].tolist()
+    codes = col.codes
+    used, first = np.unique(codes[codes >= 0], return_index=True)
+    used = used[np.argsort(first)]  # pool codes in first-row order
+    index, lut_used = _first_seen_index(col.pool[used].tolist())
+    lut = np.full(col.pool.shape[0] + 1, -1, dtype=np.int64)
+    lut[used] = lut_used
+    return lut[codes], list(index)  # code -1 wraps to the trailing -1 slot
+
+
 def _infer_kind(values: list[Any]) -> ColumnKind:
     saw_bool = saw_number = saw_string = False
     for value in values:
@@ -690,36 +661,6 @@ def _infer_kind(values: list[Any]) -> ColumnKind:
     if saw_bool:
         return ColumnKind.BOOLEAN
     return ColumnKind.STRING
-
-
-def _coerce(values: list[Any], kind: ColumnKind) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell fallback coercion for values the pool factorizer rejects
-    (unhashable cells, bools mixed with numbers, exotic scalar types)."""
-    n = len(values)
-    missing = np.zeros(n, dtype=bool)
-    if kind is ColumnKind.NUMERIC:
-        data = np.empty(n, dtype=np.float64)
-        for i, value in enumerate(values):
-            if _is_missing_scalar(value):
-                data[i] = np.nan
-                missing[i] = True
-                continue
-            try:
-                data[i] = float(value)
-            except (TypeError, ValueError):
-                data[i] = np.nan
-                missing[i] = True
-        return data, missing
-    data = np.empty(n, dtype=object)
-    for i, value in enumerate(values):
-        if _is_missing_scalar(value):
-            data[i] = None
-            missing[i] = True
-        elif kind is ColumnKind.BOOLEAN:
-            data[i] = _to_bool(value)
-        else:
-            data[i] = _format_value(value)
-    return data, missing
 
 
 def _to_bool(value: Any) -> bool:

@@ -10,7 +10,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.table.column import Column, ColumnKind
+from repro.table.column import Column, ColumnKind, equality_ids
 from repro.table.table import Table
 
 __all__ = [
@@ -65,35 +65,15 @@ def sort_by(table: Table, name: str, descending: bool = False) -> Table:
     return table.take(np.concatenate([order_present, order_missing]))
 
 
-def _group_rows(col: Column) -> list[tuple[Any, list[int]]] | None:
+def _group_rows(col: Column) -> list[tuple[Any, list[int]]]:
     """Groups of row indices keyed by cell value, in first-seen order.
 
     Missing cells form a ``None``-keyed group, positioned where the first
-    missing row appears (seed dict-insertion semantics).  Returns ``None``
-    when the pool cannot back a hash table faithfully.
+    missing row appears (seed dict-insertion semantics).
     """
-    n = len(col)
-    if n == 0:
+    if len(col) == 0:
         return []
-    if col.kind is ColumnKind.NUMERIC:
-        present = ~col.missing
-        ids = np.full(n, -1, dtype=np.int64)
-        uniq, inverse = np.unique(
-            col.numeric_values()[present], return_inverse=True
-        )
-        if uniq.shape[0]:
-            ids[present] = inverse
-        pool_values = uniq.tolist()
-    else:
-        pool = col.pool
-        pool_values = pool.tolist()
-        try:
-            index = {value: code for code, value in enumerate(pool_values)}
-        except TypeError:
-            return None
-        if len(index) < pool.shape[0]:
-            return None  # hash-equal pool entries: seed would merge them
-        ids = col.codes.astype(np.int64)
+    ids, keys = equality_ids(col)
     used, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     row_order = np.argsort(inverse, kind="stable")
     sizes = np.bincount(inverse)
@@ -101,7 +81,7 @@ def _group_rows(col: Column) -> list[tuple[Any, list[int]]] | None:
     out: list[tuple[Any, list[int]]] = []
     for pos in np.argsort(first, kind="stable").tolist():
         gid = int(used[pos])
-        key_value = None if gid < 0 else pool_values[gid]
+        key_value = None if gid < 0 else keys[gid]
         out.append(
             (key_value, row_order[offsets[pos]:offsets[pos + 1]].tolist())
         )
@@ -118,14 +98,7 @@ def group_by(
     ``aggregations`` maps output column name to ``(input column, fn)`` where
     ``fn`` receives the list of non-missing values of that group.
     """
-    key_col = table[key]
-    grouped = _group_rows(key_col)
-    if grouped is None:  # pathological pools: seed dict semantics
-        groups: dict[Any, list[int]] = {}
-        append_for = groups.setdefault
-        for i, group_key in enumerate(key_col.to_list()):  # repro: allow-per-row
-            append_for(group_key, []).append(i)
-        grouped = list(groups.items())
+    grouped = _group_rows(table[key])
     sources = {
         in_name: table[in_name].to_list()
         for in_name, _ in aggregations.values()
@@ -145,51 +118,11 @@ def group_by(
 def drop_duplicate_rows(table: Table, subset: Sequence[str] | None = None) -> Table:
     """Keep the first occurrence of each distinct row (or ``subset`` of columns)."""
     names = list(subset) if subset is not None else table.column_names
-    cols = [table[n] for n in names]
-    matrix = _row_signature_matrix(cols, table.n_rows)
-    if matrix is None:  # pathological pools: seed set semantics
-        seen: set[tuple[Any, ...]] = set()
-        keep: list[int] = []
-        lists = [col.to_list() for col in cols]
-        for i, signature in enumerate(zip(*lists)):  # repro: allow-per-row
-            if signature in seen:
-                continue
-            seen.add(signature)
-            keep.append(i)
-        return table.take(np.asarray(keep, dtype=np.intp))
-    if matrix.shape[1] == 0:
-        first = np.zeros(min(table.n_rows, 1), dtype=np.intp)
-        return table.take(first)
+    if not names:
+        return table.take(np.zeros(min(table.n_rows, 1), dtype=np.intp))
+    matrix = np.column_stack([equality_ids(table[n])[0] for n in names])
     _, first = np.unique(matrix, axis=0, return_index=True)
     return table.take(np.sort(first))
-
-
-def _row_signature_matrix(cols: list[Column], n_rows: int) -> np.ndarray | None:
-    """Per-column integer codes stacked into an ``(n_rows, k)`` matrix
-    whose row equality matches the seed's value-tuple equality."""
-    parts = []
-    for col in cols:
-        if col.kind is ColumnKind.NUMERIC:
-            present = ~col.missing
-            codes = np.full(n_rows, -1, dtype=np.int64)
-            uniq, inverse = np.unique(
-                col.numeric_values()[present], return_inverse=True
-            )
-            if uniq.shape[0]:
-                codes[present] = inverse
-        else:
-            pool_values = col.pool.tolist()
-            try:
-                index = {value: code for code, value in enumerate(pool_values)}
-            except TypeError:
-                return None
-            if len(index) < len(pool_values):
-                return None  # hash-equal pool entries: tuples would merge them
-            codes = col.codes.astype(np.int64)
-        parts.append(codes)
-    if not parts:
-        return np.empty((n_rows, 0), dtype=np.int64)
-    return np.column_stack(parts)
 
 
 def stack_tables(tables: Sequence[Table], name: str = "stacked") -> Table:

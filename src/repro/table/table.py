@@ -6,7 +6,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.table.column import Column, ColumnKind
+from repro.table.column import Column, ColumnKind, equality_ids
 
 __all__ = ["Table"]
 
@@ -287,104 +287,25 @@ class Table:
 # -- vectorized kernels ------------------------------------------------------
 
 
-def _per_row_join(left_col: Column, right_col: Column, how: str):
-    """Seed-exact per-row join fallback for pathological key columns
-    (hash-colliding or unhashable pools)."""
-    right_index: dict[Any, list[int]] = {}
-    for j, key in enumerate(right_col):  # repro: allow-per-row
-        if key is None:
-            continue
-        right_index.setdefault(key, []).append(j)
-    left_rows: list[int] = []
-    right_rows: list[int] = []
-    for i, key in enumerate(left_col):  # repro: allow-per-row
-        matches = right_index.get(key, []) if key is not None else []
-        if matches:
-            if how == "left":
-                matches = matches[:1]
-            for j in matches:
-                left_rows.append(i)
-                right_rows.append(j)
-        elif how == "left":
-            left_rows.append(i)
-            right_rows.append(-1)
-    return (
-        np.asarray(left_rows, dtype=np.intp),
-        np.asarray(right_rows, dtype=np.int64),
-    )
-
-
-def _right_key_groups(col: Column):
-    """Group right-side rows by key value for the factorized hash join.
-
-    Returns ``(key_to_gid, rows_sorted, offsets, sizes)`` where group
-    ``g`` owns ``rows_sorted[offsets[g]:offsets[g] + sizes[g]]`` in
-    ascending row order, or ``None`` when the pool cannot back a hash
-    table faithfully (hash-equal distinct entries).
-    """
-    if col.kind is ColumnKind.NUMERIC:
-        present = np.flatnonzero(~col.missing)
-        values = col.numeric_values()[present]
-        uniq, inverse = np.unique(values, return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
-        rows_sorted = present[order]
-        sizes = np.bincount(inverse, minlength=uniq.shape[0]).astype(np.int64)
-        key_to_gid = {value: gid for gid, value in enumerate(uniq.tolist())}
-    else:
-        codes = col.codes
-        present = np.flatnonzero(codes >= 0)
-        used, inverse = np.unique(codes[present], return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
-        rows_sorted = present[order]
-        sizes = np.bincount(inverse, minlength=used.shape[0]).astype(np.int64)
-        pool = col.pool
-        key_to_gid = {pool[code]: gid for gid, code in enumerate(used.tolist())}
-        if len(key_to_gid) < used.shape[0]:
-            return None  # hash-equal pool entries would split one seed group
-    offsets = np.zeros(sizes.shape[0], dtype=np.int64)
-    if sizes.shape[0]:
-        np.cumsum(sizes[:-1], out=offsets[1:])
-    return key_to_gid, rows_sorted, offsets, sizes
-
-
-def _left_group_ids(col: Column, key_to_gid: dict) -> np.ndarray:
-    """Per-left-row group id (-1 = missing key or no match)."""
-    n = len(col)
-    if col.kind is ColumnKind.NUMERIC:
-        present = ~col.missing
-        uniq, inverse = np.unique(col.numeric_values()[present], return_inverse=True)
-        lut = np.fromiter(
-            (key_to_gid.get(value, -1) for value in uniq.tolist()),
-            dtype=np.int64,
-            count=uniq.shape[0],
-        )
-        gids = np.full(n, -1, dtype=np.int64)
-        if uniq.shape[0]:
-            gids[present] = lut[inverse]
-        return gids
-    pool = col.pool
-    lut = np.full(pool.shape[0] + 1, -1, dtype=np.int64)
-    for code, value in enumerate(pool.tolist()):
-        lut[code] = key_to_gid.get(value, -1)
-    return lut[col.codes]  # code -1 wraps to the trailing -1 slot
-
-
 def _join_row_pairs(left_col: Column, right_col: Column, how: str):
     """Row-index pairs of a factorized hash join (seed output order)."""
-    try:
-        groups = _right_key_groups(right_col)
-        if groups is None:
-            return _per_row_join(left_col, right_col, how)
-        key_to_gid, rows_sorted, offsets, sizes = groups
-        gids = _left_group_ids(left_col, key_to_gid)
-    except TypeError:  # unhashable key values: seed dict semantics apply
-        return _per_row_join(left_col, right_col, how)
+    right_ids, right_keys = equality_ids(right_col)
+    present = np.flatnonzero(right_ids >= 0)
+    rows_sorted = present[np.argsort(right_ids[present], kind="stable")]
+    sizes = np.bincount(right_ids[present], minlength=len(right_keys))
+    offsets = np.cumsum(sizes) - sizes  # group g owns rows_sorted[offsets[g]:][:sizes[g]]
+    # right keys are pairwise unequal, so the dict keeps one slot per id
+    key_to_gid = dict(zip(right_keys, range(len(right_keys))))
+    left_ids, left_keys = equality_ids(left_col)
+    lut = np.fromiter(
+        (key_to_gid.get(key, -1) for key in left_keys),
+        dtype=np.int64,
+        count=len(left_keys),
+    )
+    gids = np.append(lut, np.int64(-1))[left_ids]  # id -1 wraps to the -1 slot
     n = gids.shape[0]
     if how == "left":
-        first_ext = np.append(
-            rows_sorted[offsets] if sizes.shape[0] else np.empty(0, np.int64),
-            np.int64(-1),
-        )
+        first_ext = np.append(rows_sorted[offsets], np.int64(-1))
         return np.arange(n, dtype=np.intp), first_ext[gids]
     sizes_ext = np.append(sizes, np.int64(0))
     counts = sizes_ext[gids]

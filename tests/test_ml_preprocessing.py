@@ -202,3 +202,13 @@ class TestFeatureHasher:
     def test_n_features_validated(self):
         with pytest.raises(ValueError):
             FeatureHasher(0)
+
+    def test_cell_hash_ignores_neighbours(self):
+        # Decimal("1") == Decimal("1.0"), but they hash by str(): a value-
+        # keyed memo gave the second cell the first one's bucket
+        from decimal import Decimal
+
+        h = FeatureHasher(64).fit([])
+        both = h.transform([Decimal("1"), Decimal("1.0")])
+        assert (both[0] == h.transform([Decimal("1")])[0]).all()
+        assert (both[1] == h.transform([Decimal("1.0")])[0]).all()

@@ -171,6 +171,13 @@ class TestIncrementalFingerprint:
             accumulator.update(*view)
         assert accumulator.fingerprint(column.kind.value) == column_fingerprint(column)
 
+    def test_object_bytes_are_the_per_cell_encoding(self):
+        # 0.0 and -0.0 share a dict slot but str() differently
+        from repro.catalog.cache import _encode_one, encode_object_values
+
+        values = [0.0, -0.0, "a"]
+        assert encode_object_values(values) == b"".join(map(_encode_one, values))
+
     def test_streaming_catalog_reuses_batch_cache_namespace(self, big_table):
         # Streamed artifacts are keyed separately from batch entries:
         # both paths through one cache must not collide.

@@ -159,3 +159,29 @@ class TestFormatValue:
         col = Column("c", [True, "word", False, None], kind="string")
         assert col.to_list() == ["true", "word", "false", None]
         assert col.unique() == ["true", "word", "false"]
+
+
+class TestExoticCells:
+    """Regression: pool dedup must not merge cells that render differently.
+
+    A dict keyed by value alone puts ``0.0`` and ``-0.0`` (and ``1``,
+    ``1.0`` and ``True``) in one slot, so every cell of the slot took the
+    first cell's rendering.
+    """
+
+    def test_signed_zeros_keep_their_sign(self):
+        for values in ([None, 0.0, -0.0], [None, -0.0, 0.0]):
+            cells = Column("x", values).to_list()
+            assert cells[0] is None
+            assert [np.signbit(v) for v in cells[1:]] == [
+                np.signbit(v) for v in values[1:]
+            ]
+
+    def test_from_numpy_stores_values_verbatim(self):
+        values = [1, 1.0, 2, -0.0, 0.0, "a"]
+        col = Column.from_numpy("x", np.array(values, dtype=object))
+        cells = col.to_list()
+        assert [(type(v), repr(v)) for v in cells] == [
+            (type(v), repr(v)) for v in values
+        ]
+        assert col.unique() == [1, 2, -0.0, "a"]  # equality-deduplicated
